@@ -38,8 +38,6 @@ import threading
 import time
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from ..service import wire
 from ..service.surface import OPS
 from .errors import ShardProtocolError, ShardUnreachableError
@@ -69,21 +67,6 @@ def _is_idempotent(op: str) -> bool:
     # Unknown ops are refused server-side without touching state, so
     # resending one is harmless.
     return spec.idempotent if spec is not None else True
-
-
-def _json_default(obj):
-    """``json.dumps`` fallback so callers can pass numpy batches."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(
-        f"Object of type {type(obj).__name__} is not JSON serializable"
-    )
 
 
 class ShardRequestError(ValueError):
@@ -194,7 +177,7 @@ class ShardClient:
         """
         if self.protocol == "json":
             return (
-                json.dumps(dict(payload), default=_json_default) + "\n"
+                json.dumps(dict(payload), default=wire.json_default) + "\n"
             ).encode("utf-8"), None
         op = str(payload.get("op", ""))
         opcode = wire.OPCODES_BY_NAME.get(op)

@@ -165,7 +165,7 @@ def _canon(value):
     if isinstance(value, (list, tuple)):
         return tuple(_canon(v) for v in value)
     if isinstance(value, np.ndarray):
-        return tuple(value.tolist())
+        return (value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, float) and value != value:
         return "nan"
     return value

@@ -271,14 +271,16 @@ class FkMomentSketch(Sketch):
         return dup
 
     def to_dict(self) -> dict:
-        """Serialise the full sketch state to plain Python types."""
+        """Serialise the full sketch state; ``counters`` is an int64
+        array copy (:func:`~repro.engine.registry.dump_sketch` gives the
+        list form)."""
         return {
             "kind": self.kind,
             "k": self.k,
             "s1": self.s1,
             "s2": self.s2,
             "n": self._n,
-            "counters": self._c.tolist(),
+            "counters": self._c.copy(),
             "digits": self._digits.to_dict(),
         }
 
@@ -296,7 +298,7 @@ class FkMomentSketch(Sketch):
         sketch.s1 = int(payload["s1"])
         sketch.s2 = int(payload["s2"])
         sketch._n = int(payload["n"])
-        sketch._c = np.asarray(payload["counters"], dtype=np.int64)
+        sketch._c = np.array(payload["counters"], dtype=np.int64)
         if sketch._c.shape != (sketch.s1 * sketch.s2, sketch.k):
             raise ValueError(
                 f"counter matrix has shape {sketch._c.shape}, "

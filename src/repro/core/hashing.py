@@ -177,12 +177,12 @@ class PolynomialHashFamily:
         return view
 
     def to_dict(self) -> dict:
-        """Serialise the family to plain Python types."""
+        """Serialise the family; ``coefficients`` is a uint64 array copy."""
         return {
             "count": self.count,
             "independence": self.independence,
             "seed": self.seed,
-            "coefficients": self._coeffs.tolist(),
+            "coefficients": self._coeffs.copy(),
         }
 
     @classmethod

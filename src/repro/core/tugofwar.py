@@ -285,13 +285,14 @@ class TugOfWarSketch(Sketch):
         return dup
 
     def to_dict(self) -> dict:
-        """Serialise the full sketch state to plain Python types."""
+        """Serialise the full sketch state; ``z`` is an int64 array copy
+        (:func:`~repro.engine.registry.dump_sketch` gives the list form)."""
         return {
             "kind": self.kind,
             "s1": self.s1,
             "s2": self.s2,
             "n": self._n,
-            "z": self._z.tolist(),
+            "z": self._z.copy(),
             "signs": self._signs.to_dict(),
         }
 
@@ -304,7 +305,7 @@ class TugOfWarSketch(Sketch):
         sketch.s1 = int(payload["s1"])
         sketch.s2 = int(payload["s2"])
         sketch._n = int(payload["n"])
-        sketch._z = np.asarray(payload["z"], dtype=np.int64)
+        sketch._z = np.array(payload["z"], dtype=np.int64)
         if sketch._z.shape != (sketch.s1 * sketch.s2,):
             raise ValueError(
                 f"counter vector has shape {sketch._z.shape}, "

@@ -113,7 +113,9 @@ class Sketch(abc.ABC):
 
     @abc.abstractmethod
     def to_dict(self) -> dict:
-        """Serialise the full sketch state to JSON-compatible types.
+        """Serialise the full sketch state to JSON-compatible types,
+        except that mapping values may be numpy arrays (copies, never
+        views of the live state).
 
         The payload must carry the sketch's ``kind`` so
         :func:`repro.engine.registry.load_sketch` can dispatch.

@@ -8,6 +8,13 @@ payload, so callers — the CLI's ``sketch save/load/merge`` commands,
 checkpointing harnesses, networked workers shipping partial sketches —
 never need to know the concrete type in advance.
 
+A sketch's ``to_dict`` may hold numpy arrays as mapping values (the
+counter and coefficient matrices of the linear sketches).
+:func:`dump_sketch_arrays` returns that validated form as-is — the
+binary wire ships the arrays packed — while :func:`dump_sketch` is the
+JSON list form, every array flattened with ``tolist()``.
+:func:`load_sketch` accepts either.
+
 Registration happens at class-definition time via the
 :func:`register_sketch` decorator in each sketch's own module, so
 importing :mod:`repro` populates the registry with every built-in
@@ -21,6 +28,8 @@ from __future__ import annotations
 import json
 from typing import Mapping, Type, TypeVar
 
+import numpy as np
+
 from .protocol import Sketch
 
 __all__ = [
@@ -29,6 +38,7 @@ __all__ = [
     "sketch_descriptions",
     "sketch_class",
     "dump_sketch",
+    "dump_sketch_arrays",
     "load_sketch",
     "dumps_sketch",
     "loads_sketch",
@@ -108,12 +118,13 @@ def sketch_class(kind: str) -> Type[Sketch]:
     return cls
 
 
-def dump_sketch(sketch: Sketch) -> dict:
-    """Serialise any registered sketch to a JSON-compatible payload.
+def dump_sketch_arrays(sketch: Sketch) -> dict:
+    """Serialise any registered sketch, keeping its numpy arrays.
 
     The payload's ``"kind"`` key routes :func:`load_sketch` back to the
     defining class; dumping an unregistered sketch is an error so a
-    payload that cannot round-trip is never produced.
+    payload that cannot round-trip is never produced.  The arrays are
+    copies, so the payload never aliases the live sketch.
     """
     payload = sketch.to_dict()
     if not isinstance(payload, dict) or "kind" not in payload:
@@ -123,6 +134,24 @@ def dump_sketch(sketch: Sketch) -> dict:
     if payload["kind"] not in _REGISTRY:
         raise UnknownSketchKindError(payload["kind"])
     return payload
+
+
+def _as_lists(payload: dict) -> dict:
+    """``payload`` with every array, at any mapping depth, as a list."""
+    flat = {}
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, dict):
+            value = _as_lists(value)
+        flat[key] = value
+    return flat
+
+
+def dump_sketch(sketch: Sketch) -> dict:
+    """Serialise any registered sketch to a JSON-compatible payload:
+    :func:`dump_sketch_arrays` with every array flattened to a list."""
+    return _as_lists(dump_sketch_arrays(sketch))
 
 
 def load_sketch(payload: Mapping) -> Sketch:

@@ -69,7 +69,7 @@ def _error_frame(opcode: int, message: str) -> bytes:
 
 
 def _json_line(response: dict) -> bytes:
-    return (json.dumps(response) + "\n").encode("utf-8")
+    return (json.dumps(response, default=wire.json_default) + "\n").encode("utf-8")
 
 
 class EventLoopServer:

@@ -144,9 +144,8 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             if not line:
                 continue
             response = handle_request(self.server.service, line)
-            if not self._write(
-                (json.dumps(response) + "\n").encode("utf-8")
-            ):
+            reply = json.dumps(response, default=wire.json_default) + "\n"
+            if not self._write(reply.encode("utf-8")):
                 return
             stopping = bool(
                 response.get("ok") and response.get("op") == "shutdown"

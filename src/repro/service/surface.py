@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..engine.protocol import MergeUnsupportedError
-from ..engine.registry import dump_sketch
+from ..engine.registry import dump_sketch_arrays
 from . import wire
 
 __all__ = [
@@ -126,7 +126,9 @@ def _op_estimate(service, request: Mapping) -> dict:
 def _op_sketch(service, request: Mapping) -> dict:
     t0, t1, align = _window(request)
     sketch, lo, hi = service.sketch_window(t0, t1, align=align, **_keyed(request))
-    return {"window": [lo, hi], "sketch": dump_sketch(sketch)}
+    # Arrays kept: the binary wire packs them, line-JSON writers
+    # flatten them with wire.json_default.
+    return {"window": [lo, hi], "sketch": dump_sketch_arrays(sketch)}
 
 
 def _op_ingest(service, request: Mapping) -> dict:

@@ -43,6 +43,29 @@ The key trailer rides after the packed columns so the int64 arrays
 stay 8-aligned at fixed offsets and decode zero-copy whether or not
 the batch is keyed.
 
+Packed arrays in compact payloads.  Sketch state (tug-of-war
+counters, hash coefficients) travels inside ordinary compact mappings
+as one array tag instead of a list of per-element integers::
+
+    size   field
+    1      tag      0xC7
+    1      dtype    1: <i8, 2: <u8, 3: <f8
+    1      ndim     0..8
+    4*ndim dims     u32 each, C order
+    8*n    data     raw little-endian elements (n = product of dims)
+
+:func:`encode_compact` emits the tag for every 8-byte int, uint and
+float ndarray (any byte order or memory layout; it is written as
+contiguous little-endian); bool, narrower and object arrays keep the
+list form.  :func:`decode_compact` returns an owned, writable ndarray
+that aliases neither the frame buffer nor anything else.  The header
+is validated — dtype code, ndim bound, and the claimed byte count
+against what remains of the payload — before anything is allocated.
+A peer that predates the tag refuses it as an unknown tag with
+:class:`FrameFormatError` rather than misdecoding it.  The line-JSON
+protocol carries the same arrays as plain lists
+(:func:`json_default`), so both protocols answer equal values.
+
 Version negotiation: a client may open with :data:`OP_HELLO` carrying
 ``{"versions": [...]}``; the server answers with the highest version
 both sides speak or an error frame when there is none.  The header
@@ -60,6 +83,7 @@ hostile length field cannot balloon server memory.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterable, Mapping
 
@@ -98,6 +122,7 @@ __all__ = [
     "FrameDecoder",
     "encode_compact",
     "decode_compact",
+    "json_default",
     "pack_ingest",
     "unpack_ingest",
     "hello_response",
@@ -281,11 +306,18 @@ _ARRAY16 = 0xDC
 _ARRAY32 = 0xDD
 _MAP16 = 0xDE
 _MAP32 = 0xDF
+_NDARRAY = 0xC7  # msgpack's ext8 slot, reused for packed arrays
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+
+#: Array-tag dtype codes, both directions.
+_ARRAY_DTYPES = {1: np.dtype("<i8"), 2: np.dtype("<u8"), 3: np.dtype("<f8")}
+_ARRAY_CODES = {(dt.kind, dt.itemsize): code for code, dt in _ARRAY_DTYPES.items()}
+#: Dimension bound of the array tag (sketch state is 1-D or 2-D).
+_MAX_NDIM = 8
 
 #: Nesting bound for both codec directions: a hostile payload of
 #: nothing but array headers must not turn into a RecursionError.
@@ -365,7 +397,11 @@ def _encode_into(out: bytearray, obj, depth: int) -> None:
         for item in obj:
             _encode_into(out, item, depth + 1)
     elif isinstance(obj, np.ndarray):
-        _encode_into(out, obj.tolist(), depth)
+        code = _ARRAY_CODES.get((obj.dtype.kind, obj.dtype.itemsize))
+        if code is None or obj.ndim > _MAX_NDIM:
+            _encode_into(out, obj.tolist(), depth)
+        else:
+            _encode_array(out, obj, code)
     elif isinstance(obj, Mapping):
         _encode_length(out, len(obj), _MAP16, _MAP32, "mapping")
         for key, value in obj.items():
@@ -388,6 +424,12 @@ def _encode_length(
         out += _U32.pack(count)
     else:
         raise FrameFormatError(f"{what} exceeds 2^32 entries")
+
+
+def _encode_array(out: bytearray, arr: np.ndarray, code: int) -> None:
+    out += bytes((_NDARRAY, code, arr.ndim))
+    out += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    out += np.ascontiguousarray(arr, dtype=_ARRAY_DTYPES[code]).tobytes()
 
 
 def encode_compact(obj) -> bytes:
@@ -460,6 +502,8 @@ def _decode_from(reader: _Reader, depth: int):
                 f"{reader.remaining} bytes left"
             )
         return [_decode_from(reader, depth + 1) for _ in range(count)]
+    if tag == _NDARRAY:
+        return _decode_array(reader)
     if tag in (_MAP16, _MAP32):
         count = _decode_count(reader, tag)
         if 2 * count > reader.remaining:
@@ -480,6 +524,25 @@ def _decode_from(reader: _Reader, depth: int):
     raise FrameFormatError(f"unknown compact type tag 0x{tag:02x}")
 
 
+def _decode_array(reader: _Reader) -> np.ndarray:
+    code, ndim = reader.take(2)
+    dtype = _ARRAY_DTYPES.get(code)
+    if dtype is None:
+        raise FrameFormatError(f"unknown array dtype code {code}")
+    if ndim > _MAX_NDIM:
+        raise FrameFormatError(
+            f"array has {ndim} dimensions; the limit is {_MAX_NDIM}"
+        )
+    shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
+    count = math.prod(shape)
+    # take() refuses a claim beyond the payload before anything is
+    # allocated: it only slices the frame's memoryview.
+    data = reader.take(count * dtype.itemsize)
+    # copy(): the result owns its memory, so it is writable and
+    # outlives (and never aliases) the frame buffer.
+    return np.frombuffer(data, dtype=dtype, count=count).reshape(shape).copy()
+
+
 def _decode_str(reader: _Reader, length: int) -> str:
     try:
         return str(reader.take(length), "utf-8")
@@ -489,6 +552,9 @@ def _decode_str(reader: _Reader, length: int) -> str:
 
 def decode_compact(data: bytes | bytearray | memoryview):
     """Decode compact bytes back to the object they encode.
+
+    Array tags come back as owned, writable ndarrays; everything else
+    as plain Python objects.
 
     The whole payload must be one object: trailing bytes are a
     framing bug and raise :class:`FrameFormatError`.
@@ -500,6 +566,25 @@ def decode_compact(data: bytes | bytearray | memoryview):
             f"{reader.remaining} trailing bytes after compact payload"
         )
     return obj
+
+
+def json_default(obj):
+    """``json.dumps`` fallback: numpy arrays as lists, scalars as Python.
+
+    Every line-JSON writer passes this, so a response holding sketch
+    arrays serialises exactly as its list form would.
+    """
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable"
+    )
 
 
 # ----------------------------------------------------------------------

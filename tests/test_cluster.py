@@ -195,6 +195,26 @@ class TestClusterServiceEndToEnd:
         mono.ingest(ts[half], vals[half], counts=-np.ones(400, np.int64))
         assert cluster_service.estimate(0, 100) == mono.estimate(0, 100)
 
+    def test_json_fleet_bit_identical_to_binary_fleet(self, cluster_service, rng):
+        # The same windows through a line-JSON fleet (sketch counters as
+        # lists) and the binary fleet (packed arrays) merge identically.
+        ts = rng.integers(0, 200, size=2000)
+        vals = rng.integers(0, 3000, size=2000)
+        with LocalCluster(
+            store_config(make_template()), num_shards=2, protocol="json"
+        ) as json_cluster:
+            json_service = ClusterService(json_cluster.clients())
+            try:
+                for service in (json_service, cluster_service):
+                    service.ingest(ts, vals)
+                for window in [(0, 200), (30, 120)]:
+                    via_json = json_service.query(*window)
+                    via_binary = cluster_service.query(*window)
+                    assert dump_sketch(via_json) == dump_sketch(via_binary)
+                    assert via_json.estimate() == via_binary.estimate()
+            finally:
+                json_service.close()
+
     def test_estimate_window_reports_resolved_bounds(self, cluster_service):
         cluster_service.ingest([5, 25], [1, 2])
         result = cluster_service.estimate_window(5, 25, align="outer")

@@ -43,6 +43,7 @@ from repro.cluster import (
     store_config,
 )
 from repro.cluster.client import _SendFailed
+from repro.cluster.service import _canon
 from repro.engine import dump_sketch, load_sketch
 from repro.store import SketchSpec, WindowedSketchStore
 
@@ -469,6 +470,38 @@ class TestAtMostOnceReplication:
                 assert replica_dump(rogue, 0, 200) == expected
             finally:
                 service.close()
+
+
+    def test_quorum_votes_on_two_dimensional_arrays(self, rng):
+        # fk_moments ships a 2-D counter matrix (and 2-D coefficients)
+        # as packed arrays; replicas must still be comparable votes.
+        spec = SketchSpec("fk_moments", {"k": 3, "s1": 8, "s2": 3, "seed": 7})
+        mono = WindowedSketchStore(spec, bucket_width=10)
+        ts = rng.integers(0, 200, size=600).astype(np.int64)
+        vals = rng.integers(0, 300, size=600).astype(np.int64)
+        with LocalCluster(store_config(mono), 1, replication=3) as cluster:
+            service = ClusterService(
+                cluster.replica_clients(), supervisor=cluster, read_mode="quorum"
+            )
+            try:
+                service.ingest(ts, vals)
+                mono.ingest(ts, vals)
+                rogue = cluster.replica_sets()[0][1].client
+                response = rogue.request({"op": "sketch", "from": 0, "until": 200})
+                assert response["sketch"]["counters"].ndim == 2
+                rogue.request({"op": "ingest", "timestamps": [5], "values": [11]})
+                expected = dump_sketch(mono.query(0, 200))
+                assert dump_sketch(service.query(0, 200)) == expected
+                assert replica_dump(rogue, 0, 200) == expected
+            finally:
+                service.close()
+
+    def test_canonical_form_of_arrays(self):
+        matrix = np.arange(6, dtype=np.int64).reshape(2, 3)
+        canon = _canon({"sketch": {"counters": matrix}})
+        assert hash(canon) == hash(_canon({"sketch": {"counters": matrix.copy()}}))
+        for other in (matrix.reshape(3, 2), matrix.astype(np.uint64), matrix + 1):
+            assert canon != _canon({"sketch": {"counters": other}})
 
 
 # ----------------------------------------------------------------------

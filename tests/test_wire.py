@@ -16,9 +16,12 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.client import (
     ShardClient,
@@ -27,6 +30,19 @@ from repro.cluster.client import (
     backoff_delay,
 )
 from repro.cluster.errors import ShardProtocolError, ShardUnreachableError
+from repro.core.distinct import DistinctCountSketch
+from repro.core.fkmoments import FkMomentSketch
+from repro.core.frequency import FrequencyVector
+from repro.core.moments import FrequencyMomentTracker
+from repro.core.naivesampling import NaiveSamplingEstimator
+from repro.core.samplecount import SampleCountFastQuery, SampleCountSketch
+from repro.core.tugofwar import TugOfWarSketch
+from repro.engine.registry import (
+    dump_sketch,
+    dump_sketch_arrays,
+    load_sketch,
+    sketch_kinds,
+)
 from repro.service import (
     EventLoopServer,
     SketchService,
@@ -70,9 +86,11 @@ class TestCompactCodec:
             "flag": np.bool_(True),
             "arr": np.array([1, 2, 3], dtype=np.int64),
         })
-        assert wire.decode_compact(encoded) == {
-            "n": 7, "x": 2.5, "flag": True, "arr": [1, 2, 3],
-        }
+        decoded = wire.decode_compact(encoded)
+        arr = decoded.pop("arr")
+        assert decoded == {"n": 7, "x": 2.5, "flag": True}
+        assert arr.dtype == np.int64
+        assert arr.tolist() == [1, 2, 3]
 
     def test_keys_stringified_like_json(self):
         # Both protocols must decode a response to the same mapping, so
@@ -117,6 +135,127 @@ class TestCompactCodec:
         hostile = b"\xde\x01\x00" + b"\x05" + b"\x05"  # {5: 5}
         with pytest.raises(wire.FrameFormatError, match="key"):
             wire.decode_compact(hostile)
+
+
+def _sketch_factories() -> dict:
+    """One builder per registered kind, ``seed -> empty sketch``."""
+    return {
+        "tugofwar": lambda seed: TugOfWarSketch(8, 3, seed=seed),
+        "fk_moments": lambda seed: FkMomentSketch(k=3, s1=8, s2=3, seed=seed),
+        "f0": lambda seed: DistinctCountSketch(8, 3, seed=seed),
+        "frequency": lambda seed: FrequencyVector(),
+        "samplecount": lambda seed: SampleCountSketch(8, 3, seed=seed),
+        "samplecount-fast": lambda seed: SampleCountFastQuery(8, 3, seed=seed),
+        "moments": lambda seed: FrequencyMomentTracker(8, 3, seed=seed),
+        "naivesampling": lambda seed: NaiveSamplingEstimator(s=16, seed=seed),
+    }
+
+
+class TestArrayTag:
+    """The packed-array tag of the compact codec."""
+
+    @pytest.mark.parametrize("dtype", ["<i8", ">i8", "<u8", ">u8", "<f8", ">f8"])
+    @pytest.mark.parametrize("shape", [(0,), (0, 4), (), (7,), (3, 5)])
+    def test_roundtrip_dtype_by_shape(self, dtype, shape):
+        arr = np.arange(int(np.prod(shape)), dtype=dtype).reshape(shape)
+        decoded = wire.decode_compact(wire.encode_compact({"a": arr}))["a"]
+        assert isinstance(decoded, np.ndarray)
+        assert decoded.dtype == np.dtype(dtype).newbyteorder("<")
+        assert decoded.shape == shape
+        assert np.array_equal(decoded, arr)
+
+    def test_non_contiguous_input(self):
+        base = np.arange(60, dtype=np.int64).reshape(6, 10)
+        view = base[::2, 1::3].T
+        assert not view.flags.c_contiguous
+        decoded = wire.decode_compact(wire.encode_compact(view))
+        assert decoded.flags.c_contiguous
+        assert np.array_equal(decoded, view)
+
+    def test_layout_is_tag_dtype_ndim_dims_data(self):
+        arr = np.array([[1, -2, 3]], dtype=np.int64)
+        encoded = wire.encode_compact(arr)
+        assert encoded == (
+            bytes([0xC7, 1, 2]) + struct.pack("<2I", 1, 3)
+            + arr.astype("<i8").tobytes()
+        )
+
+    def test_decoded_is_owned_and_writable(self):
+        frame = bytearray(wire.encode_compact(np.arange(8, dtype=np.uint64)))
+        decoded = wire.decode_compact(frame)
+        assert decoded.flags.writeable and decoded.flags.owndata
+        assert not np.shares_memory(decoded, np.frombuffer(frame, np.uint8))
+        decoded[:] = 99
+        assert wire.decode_compact(frame).tolist() == list(range(8))
+
+    @pytest.mark.parametrize("kind", ["tugofwar", "fk_moments", "f0"])
+    def test_loaded_sketch_aliases_neither_frame_nor_source(self, kind):
+        source = _sketch_factories()[kind](5)
+        source.update_from_stream(np.arange(40, dtype=np.int64))
+        before = dump_sketch(source)
+        frame = wire.encode_compact(dump_sketch_arrays(source))
+        loaded = load_sketch(wire.decode_compact(frame))
+        loaded.update_from_stream(np.arange(100, dtype=np.int64))
+        assert dump_sketch(loaded) != before
+        assert dump_sketch(load_sketch(wire.decode_compact(frame))) == before
+        assert dump_sketch(source) == before
+
+    def test_unknown_dtype_code_refused(self):
+        hostile = bytes([0xC7, 9, 1]) + struct.pack("<I", 1) + bytes(8)
+        with pytest.raises(wire.FrameFormatError, match="dtype code"):
+            wire.decode_compact(hostile)
+
+    def test_ndim_over_bound_refused(self):
+        hostile = bytes([0xC7, 1, 9]) + struct.pack("<9I", *[1] * 9) + bytes(8)
+        with pytest.raises(wire.FrameFormatError, match="dimensions"):
+            wire.decode_compact(hostile)
+
+    def test_claimed_bytes_beyond_buffer_refused_before_allocation(self):
+        # 2^32-1 squared int64s is ~2^67 bytes: any attempt to allocate
+        # would be a MemoryError, not the format error.
+        hostile = bytes([0xC7, 1, 2]) + struct.pack("<2I", 2**32 - 1, 2**32 - 1)
+        with pytest.raises(wire.FrameFormatError, match="truncated"):
+            wire.decode_compact(hostile + bytes(64))
+        tracemalloc.start()
+        try:
+            hostile = bytes([0xC7, 3, 1]) + struct.pack("<I", 1 << 28)
+            with pytest.raises(wire.FrameFormatError, match="truncated"):
+                wire.decode_compact(hostile + bytes(64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_truncated_dims_refused(self):
+        with pytest.raises(wire.FrameFormatError, match="truncated"):
+            wire.decode_compact(bytes([0xC7, 1, 2, 0, 0]))
+
+    @pytest.mark.parametrize("arr", [
+        np.array([True, False]),
+        np.array([1, 2, 3], dtype=np.int32),
+        np.array([1, "two", None], dtype=object),
+    ], ids=["bool", "int32", "object"])
+    def test_other_dtypes_keep_the_list_path(self, arr):
+        encoded = wire.encode_compact(arr)
+        assert encoded[0] == 0xDC  # array16, not the packed tag
+        assert wire.decode_compact(encoded) == arr.tolist()
+
+    def test_factories_cover_every_registered_kind(self):
+        assert set(_sketch_factories()) == set(sketch_kinds())
+
+    @pytest.mark.parametrize("kind", sorted(_sketch_factories()))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 500), max_size=200),
+        seed=st.integers(0, 2**20),
+    )
+    def test_every_kind_roundtrips_through_the_codec(self, kind, values, seed):
+        sketch = _sketch_factories()[kind](seed)
+        sketch.update_from_stream(np.asarray(values, dtype=np.int64))
+        frame = wire.encode_compact(sketch.to_dict())
+        assert dump_sketch(load_sketch(wire.decode_compact(frame))) == (
+            dump_sketch(sketch)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -447,6 +586,34 @@ class TestServersBothProtocols:
                 _, _, _, payload = wire.read_frame(rf)
                 # 3 copies of value 5 → second moment 9, via both wires.
                 assert wire.decode_compact(payload)["estimate"] == 9.0
+        finally:
+            _stop(server, thread)
+
+    def test_sketch_op_lists_on_json_arrays_on_binary(self, server_cls):
+        service = make_service()
+        rng = np.random.default_rng(4)
+        service.ingest(rng.integers(0, 200, 500), rng.integers(0, 900, 500))
+        expected = {
+            "ok": True, "op": "sketch", "window": [0, 200],
+            "sketch": dump_sketch(service.sketch_window(0, 200)[0]),
+        }
+        request = {"op": "sketch", "from": 0, "until": 200}
+        server = server_cls(service, ("127.0.0.1", 0), read_timeout=10.0)
+        thread = _serve(server)
+        try:
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=10) as conn:
+                f = conn.makefile("rwb")
+                f.write((json.dumps(request) + "\n").encode())
+                f.flush()
+                line = f.readline()
+            # Byte-identical to the list form of the same window.
+            assert line == (json.dumps(expected) + "\n").encode()
+            assert json.loads(line)["sketch"] == expected["sketch"]
+            with ShardClient(host, port, protocol="binary") as client:
+                sketch = client.request(request)["sketch"]
+            assert sketch["z"].dtype == np.int64
+            assert dump_sketch(load_sketch(sketch)) == expected["sketch"]
         finally:
             _stop(server, thread)
 
