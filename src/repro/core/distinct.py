@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..engine.protocol import Sketch, as_histogram
+from ..engine.protocol import Sketch, net_histogram
 from ..engine.registry import register_sketch
 from .estimators import group_shape_for
 from .hashing import PolynomialHashFamily
@@ -117,11 +117,19 @@ class DistinctCountSketch(Sketch):
     ) -> None:
         """Fold a whole (possibly signed) frequency histogram in.
 
-        Vectorised via ``np.add.at`` scatter-adds per repetition;
-        integer addition commutes, so the result is bit-identical to
-        the equivalent sequence of :meth:`update` calls.
+        The batch is first coalesced to one net count per distinct
+        value (:func:`repro.engine.protocol.net_histogram`), then
+        scattered with ``np.add.at`` per repetition; integer addition
+        commutes, so the result is bit-identical to the equivalent
+        sequence of :meth:`update` calls.
         """
-        vals, cnts = as_histogram(values, counts)
+        self._scatter(*net_histogram(values, counts))
+
+    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
+        """Fold an insertion-only stream in via its histogram."""
+        self._scatter(*net_histogram(values))
+
+    def _scatter(self, vals: np.ndarray, cnts: np.ndarray) -> None:
         total = int(cnts.sum())
         if self._n + total < 0:
             raise ValueError("batch would make the multiset size negative")
@@ -132,14 +140,6 @@ class DistinctCountSketch(Sketch):
             for rep in range(self.s2):
                 np.add.at(self._c[rep], buckets[rep].astype(np.intp), chunk_cnts)
         self._n += total
-
-    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
-        """Fold an insertion-only stream in via its histogram."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.size == 0:
-            return
-        uniq, counts = np.unique(arr, return_counts=True)
-        self.update_from_frequencies(uniq, counts)
 
     # ------------------------------------------------------------------
     # Queries

@@ -40,7 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..engine.protocol import Sketch, as_histogram
+from ..engine.protocol import Sketch, net_histogram
 from ..engine.registry import register_sketch
 from .. import kernels
 from .estimators import group_shape_for, median_of_means
@@ -146,14 +146,22 @@ class FkMomentSketch(Sketch):
     ) -> None:
         """Fold a whole (possibly signed) frequency histogram in.
 
-        The vectorised bulk path: the fused digit-scatter kernel
-        (:func:`repro.kernels.fk_scatter`) adds ``c_v`` into column
-        ``b(v)`` of every slot, chunked so the working set stays
-        cache-resident.  Integer addition commutes, so the result is
-        bit-identical to the equivalent sequence of :meth:`update`
-        calls on every kernel backend.
+        The vectorised bulk path: the batch is first coalesced to one
+        net count per distinct value
+        (:func:`repro.engine.protocol.net_histogram`), then the fused
+        digit-scatter kernel (:func:`repro.kernels.fk_scatter`) adds
+        ``c_v`` into column ``b(v)`` of every slot, chunked so the
+        working set stays cache-resident.  Integer addition commutes,
+        so the result is bit-identical to the equivalent sequence of
+        :meth:`update` calls on every kernel backend.
         """
-        vals, cnts = as_histogram(values, counts)
+        self._scatter(*net_histogram(values, counts))
+
+    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
+        """Fold an insertion-only stream in via its histogram."""
+        self._scatter(*net_histogram(values))
+
+    def _scatter(self, vals: np.ndarray, cnts: np.ndarray) -> None:
         total = int(cnts.sum())
         if self._n + total < 0:
             raise ValueError("batch would make the multiset size negative")
@@ -167,14 +175,6 @@ class FkMomentSketch(Sketch):
                 self.k,
             )
         self._n += total
-
-    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
-        """Fold an insertion-only stream in via its histogram."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.size == 0:
-            return
-        uniq, counts = np.unique(arr, return_counts=True)
-        self.update_from_frequencies(uniq, counts)
 
     # ------------------------------------------------------------------
     # Queries

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..engine.protocol import Sketch, as_histogram
+from ..engine.protocol import Sketch, as_histogram, net_histogram
 from ..engine.registry import register_sketch
 
 __all__ = [
@@ -37,62 +37,6 @@ def _as_value_array(values: Iterable[int] | np.ndarray) -> np.ndarray:
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise TypeError(f"value stream must be integer-typed, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
-
-
-def _dense_span(arr: np.ndarray) -> tuple[int, int] | None:
-    """``(lo, span)`` when the value range is narrow enough to bincount.
-
-    A span up to 4x the batch size (with a small floor) keeps the
-    dense table within a constant factor of the batch itself; the hard
-    cap bounds the allocation for tiny batches over a wide range.
-    Computed with Python ints so a range straddling the int64 extremes
-    cannot overflow — it simply fails the test and falls back.
-    """
-    lo, hi = int(arr.min()), int(arr.max())
-    span = hi - lo + 1
-    if span <= max(4 * arr.size, 1024) and span <= (1 << 22):
-        return lo, span
-    return None
-
-
-def _dense_or_sorted_histogram(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(unique values, counts)`` of an int64 stream.
-
-    Dense value ranges take a single O(n) ``bincount`` over the offset
-    values instead of the O(n log n) sort inside ``np.unique`` — for
-    large ingest batches over bounded key domains this is the
-    difference between wire-bound and sort-bound throughput.
-    """
-    dense = _dense_span(arr)
-    if dense is not None:
-        lo, span = dense
-        table = np.bincount(arr - lo, minlength=span)
-        present = np.flatnonzero(table)
-        return present + lo, table[present].astype(np.int64, copy=False)
-    return np.unique(arr, return_counts=True)
-
-
-def _aggregate_histogram(
-    vals: np.ndarray, cnts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum counts per distinct value (vectorised int64 sums).
-
-    The accumulators are int64 and wrap silently on overflow, so the
-    caller must guarantee the grand total fits — e.g. via the
-    ``size * max`` bound :meth:`FrequencyVector.update_from_frequencies`
-    checks before taking this path.
-    """
-    dense = _dense_span(vals)
-    if dense is not None:
-        lo, span = dense
-        totals = np.zeros(span, dtype=np.int64)
-        np.add.at(totals, vals - lo, cnts)
-        present = np.flatnonzero(totals)
-        return present + lo, totals[present]
-    uniq, inverse = np.unique(vals, return_inverse=True)
-    totals = np.zeros(uniq.size, dtype=np.int64)
-    np.add.at(totals, inverse, cnts)
-    return uniq, totals
 
 
 @register_sketch
@@ -133,14 +77,8 @@ class FrequencyVector(Sketch):
     @classmethod
     def from_stream(cls, values: Iterable[int] | np.ndarray) -> "FrequencyVector":
         """Build the histogram of an insertion-only value stream."""
-        arr = _as_value_array(values)
         fv = cls()
-        if arr.size:
-            uniq, counts = np.unique(arr, return_counts=True)
-            fv._counts = Counter(
-                {int(v): int(c) for v, c in zip(uniq.tolist(), counts.tolist())}
-            )
-            fv._n = int(arr.size)
+        fv.update_from_stream(values)
         return fv
 
     # ------------------------------------------------------------------
@@ -219,7 +157,7 @@ class FrequencyVector(Sketch):
             # The size*max bound proves the grand total — hence every
             # per-value total and the _n increment — fits int64, so
             # the int64 accumulators cannot wrap.
-            uniq, totals = _aggregate_histogram(vals, cnts)
+            uniq, totals = net_histogram(vals, cnts)
             for v, c in zip(uniq.tolist(), totals.tolist()):
                 if c:
                     self._counts[v] += c
@@ -232,11 +170,9 @@ class FrequencyVector(Sketch):
     def update_from_stream(self, values: Iterable[int] | np.ndarray) -> None:
         """Insert every element of a stream via one vectorised histogram."""
         arr = _as_value_array(values)
-        if arr.size == 0:
-            return
-        uniq, counts = _dense_or_sorted_histogram(arr)
+        uniq, counts = net_histogram(arr)
         for v, c in zip(uniq.tolist(), counts.tolist()):
-            self._counts[int(v)] += int(c)
+            self._counts[v] += c
         self._n += int(arr.size)
 
     # ------------------------------------------------------------------

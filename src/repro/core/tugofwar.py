@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..engine.protocol import Sketch, as_histogram
+from ..engine.protocol import Sketch, net_histogram
 from ..engine.registry import register_sketch
 from .. import kernels
 from .estimators import (
@@ -143,17 +143,26 @@ class TugOfWarSketch(Sketch):
     def update_from_frequencies(
         self, values: np.ndarray | Iterable[int], counts: np.ndarray | Iterable[int]
     ) -> None:
-        """Fold a whole frequency histogram into the sketch.
+        """Fold a whole (possibly signed) frequency histogram in.
 
-        This is the vectorised bulk-loading path used by the experiment
-        harness: for each distinct value v with count c it performs
+        This is the vectorised bulk-loading path.  The batch is first
+        coalesced to one net count per distinct value
+        (:func:`repro.engine.protocol.net_histogram`), so rows that
+        repeat a value cost one hash evaluation, not one each.  Then
+        for each distinct value v with net count c it performs
         ``Z += c * eps(v)`` via the fused scatter kernel
         (:func:`repro.kernels.tugofwar_scatter`), chunked so the
         working set stays cache-resident.  The result is bit-identical
         to the equivalent sequence of :meth:`update` calls (linearity)
         on every kernel backend, which the test suite verifies.
         """
-        vals, cnts = as_histogram(values, counts)
+        self._scatter(*net_histogram(values, counts))
+
+    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
+        """Fold an insertion-only stream in via its histogram."""
+        self._scatter(*net_histogram(values))
+
+    def _scatter(self, vals: np.ndarray, cnts: np.ndarray) -> None:
         total = int(cnts.sum())
         if self._n + total < 0:
             raise ValueError("batch would make the multiset size negative")
@@ -166,14 +175,6 @@ class TugOfWarSketch(Sketch):
                 self._z,
             )
         self._n += total
-
-    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
-        """Fold an insertion-only stream in via its histogram."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.size == 0:
-            return
-        uniq, counts = np.unique(arr, return_counts=True)
-        self.update_from_frequencies(uniq, counts)
 
     # ------------------------------------------------------------------
     # Queries

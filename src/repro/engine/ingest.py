@@ -22,7 +22,10 @@ Batching strategy
 ``sketch.is_linear`` selects the strategy:
 
 * **linear** — all updates between two queries coalesce into one signed
-  histogram applied via ``update_from_frequencies`` (order-free, exact);
+  histogram applied via ``update_from_frequencies`` (order-free, exact).
+  The linear kinds coalesce every batch they are handed the same way
+  (:func:`repro.engine.protocol.net_histogram`), signed store segments
+  included, so the kernels hash each distinct value once;
 * **order-sensitive** (sample-count and friends) — maximal runs of
   consecutive inserts are handed to ``update_from_stream`` (whose
   vectorised implementations are RNG-for-RNG identical to the

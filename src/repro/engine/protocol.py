@@ -40,7 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Sketch", "MergeUnsupportedError", "as_histogram"]
+__all__ = ["Sketch", "MergeUnsupportedError", "as_histogram", "net_histogram"]
 
 
 def as_histogram(
@@ -59,6 +59,63 @@ def as_histogram(
             f"values {vals.shape} and counts {cnts.shape} must be equal-length 1-D"
         )
     return vals, cnts
+
+
+def _dense_span(arr: np.ndarray) -> tuple[int, int] | None:
+    """``(lo, span)`` when a dense table beats a sort for this batch.
+
+    That needs 256+ rows (below that a sort is as fast, and the range
+    scan is overhead) over a span of at most 4x the rows, capped so the
+    table stays small.  Python ints keep the span itself from overflowing.
+    """
+    if arr.size < 256:
+        return None
+    lo, hi = int(arr.min()), int(arr.max())
+    span = hi - lo + 1
+    if span <= 4 * arr.size and span <= (1 << 22):
+        return lo, span
+    return None
+
+
+def net_histogram(
+    values: np.ndarray | Iterable[int],
+    counts: np.ndarray | Iterable[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coalesce a batch into sorted ``(distinct values, net counts)``.
+
+    ``counts=None`` counts one per row (an insert-only stream); else
+    each value's signed counts are summed.  A linear sketch depends
+    only on the net counts, so folding them in is bit-identical to
+    folding in every row; the int64 sums wrap exactly as the sketches'
+    int64 counters would.  A value whose counts cancel keeps a zero
+    entry, so the kernels' hash-domain check still sees every value of
+    the batch.  Narrow value ranges take an O(n) dense table, others a
+    sort.
+    """
+    if counts is None:
+        vals = np.asarray(values, dtype=np.int64)
+        if vals.ndim != 1:
+            raise ValueError(f"values must be one-dimensional, got shape {vals.shape}")
+    else:
+        vals, cnts = as_histogram(values, counts)
+    if vals.size == 0:
+        return vals, np.zeros(0, dtype=np.int64)
+    dense = _dense_span(vals)
+    if dense is not None:
+        lo, span = dense
+        offsets = vals - lo
+        totals = np.bincount(offsets, minlength=span)
+        present = np.flatnonzero(totals > 0)  # a bool scan: ~4x an int64 one
+        if counts is not None:
+            totals = np.zeros(span, dtype=np.int64)
+            np.add.at(totals, offsets, cnts)
+        return present + lo, totals[present]
+    if counts is None:
+        return np.unique(vals, return_counts=True)
+    uniq, inverse = np.unique(vals, return_inverse=True)
+    totals = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(totals, inverse, cnts)
+    return uniq, totals
 
 
 class MergeUnsupportedError(TypeError):

@@ -7,8 +7,12 @@ The tentpole contract of ISSUE 1: one ABC captures the shared surface
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.distinct import DistinctCountSketch
 from repro.core.fkmoments import FkMomentSketch
@@ -24,6 +28,7 @@ from repro.engine import (
     load_sketch,
     sketch_kinds,
 )
+from repro.engine.protocol import net_histogram
 
 ALL_SKETCHES = [
     TugOfWarSketch(16, 3, seed=1),
@@ -227,3 +232,70 @@ class TestRelationalBulkPaths:
         catalog.register("r")
         catalog.insert_many("r", np.arange(100, dtype=np.int64))
         assert catalog.memory_words > 0
+
+
+def _reference_histogram(values, counts):
+    totals: Counter = Counter()
+    for v, c in zip(values, counts):
+        totals[v] += c
+    keys = sorted(totals)
+    return keys, [totals[k] for k in keys]
+
+
+class TestNetHistogram:
+    """The one coalescer every linear kind folds its batches through."""
+
+    @given(
+        pool=st.lists(
+            st.one_of(
+                st.integers(0, 600), st.integers(-(2**63), 2**63 - 1)
+            ),
+            min_size=1,
+            max_size=40,
+            unique=True,
+        ),
+        rows=st.integers(0, 900),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_sums(self, pool, rows, seed):
+        # Up to 900 rows over a small pool: both the dense table
+        # (>= 256 rows over a narrow span) and the sort are exercised.
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.asarray(pool, dtype=np.int64), size=rows)
+        counts = rng.integers(-3, 4, size=rows)
+        for cnts in (None, counts):
+            expect = _reference_histogram(
+                values.tolist(), [1] * rows if cnts is None else cnts.tolist()
+            )
+            vals, totals = net_histogram(values, cnts)
+            assert vals.dtype == np.int64 and totals.dtype == np.int64
+            assert (vals.tolist(), totals.tolist()) == expect
+
+    @pytest.mark.parametrize("rows", [4, 4096], ids=["sort", "dense"])
+    def test_cancelled_values_keep_their_entry(self, rows):
+        # Zero net counts stay in the result, so a downstream domain
+        # check still sees a value that was inserted and deleted.
+        vals = np.arange(rows, dtype=np.int64) // 2
+        cnts = np.tile(np.array([1, -1], dtype=np.int64), rows // 2)
+        uniq, totals = net_histogram(vals, cnts)
+        assert uniq.tolist() == list(range(rows // 2))
+        assert not totals.any()
+
+    def test_sums_wrap_like_int64_counters(self):
+        big = np.int64(2**62)
+        uniq, totals = net_histogram([5, 5], [big, big])
+        assert uniq.tolist() == [5]
+        assert totals[0] == np.int64(-(2**63))
+
+    def test_refuses_ragged_or_multidimensional_input(self):
+        with pytest.raises(ValueError):
+            net_histogram(np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError):
+            net_histogram([1, 2], [1])
+
+    def test_empty_batch(self):
+        for cnts in (None, []):
+            vals, totals = net_histogram([], cnts)
+            assert vals.size == totals.size == 0
+            assert totals.dtype == np.int64

@@ -18,9 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.distinct import DistinctCountSketch
 from repro.core.fkmoments import FkMomentSketch
+from repro.core.hashing import MERSENNE_PRIME_31
 from repro.core.moments import UnsupportedMomentError
+from repro.core.tugofwar import TugOfWarSketch
 from repro.engine import dump_sketch, loads_sketch, dumps_sketch, sketch_kinds
 from repro.engine.registry import sketch_descriptions
 from repro.store import SketchSpec, WindowedSketchStore
@@ -34,6 +37,12 @@ def exact_moment(values, k: int) -> float:
 FK_FACTORY = {
     "fk_moments": lambda seed=7: FkMomentSketch(k=3, s1=16, s2=3, seed=seed),
     "f0": lambda seed=7: DistinctCountSketch(16, 3, seed=seed),
+}
+
+#: The kinds whose signed batches are coalesced before the scatter.
+SIGNED_FACTORY = {
+    **FK_FACTORY,
+    "tugofwar": lambda seed=7: TugOfWarSketch(16, 3, seed=seed),
 }
 
 values_strategy = st.lists(
@@ -107,32 +116,44 @@ class TestVectorizedVsCanonical:
             loop.insert(v)
         assert dump_sketch(bulk) == dump_sketch(loop)
 
-    @pytest.mark.parametrize("kind", sorted(FK_FACTORY))
-    @given(values=values_strategy, counts=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_frequencies_equal_updates(self, kind, values, counts):
-        distinct = sorted(set(values))
-        signed = counts.draw(
-            st.lists(
-                st.integers(min_value=-3, max_value=3).filter(bool),
-                min_size=len(distinct),
-                max_size=len(distinct),
-            )
-        )
-        bulk = FK_FACTORY[kind]()
-        loop = FK_FACTORY[kind]()
-        if distinct:
-            # Pre-load count 3 per value so negative deltas stay legal
-            # (the kinds refuse batches that drive the multiset negative).
-            base_vals = np.asarray(distinct, dtype=np.int64)
-            base_counts = np.full(len(distinct), 3, dtype=np.int64)
-            bulk.update_from_frequencies(base_vals, base_counts)
-            loop.update_from_frequencies(base_vals, base_counts)
-            bulk.update_from_frequencies(
-                base_vals, np.asarray(signed, dtype=np.int64)
-            )
-        for v, c in zip(distinct, signed):
-            loop.update(v, c)
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize("kind", sorted(SIGNED_FACTORY))
+    @given(
+        pool=st.lists(
+            st.one_of(
+                st.integers(0, 50), st.integers(0, MERSENNE_PRIME_31 - 1)
+            ),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        ),
+        rows=st.integers(0, 1500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_frequencies_equal_updates(self, backend, kind, pool, rows, seed):
+        # Many rows over few values with interleaved +/- counts: the
+        # bulk path coalesces them per value before the scatter, and
+        # must land on the counters of a row-by-row replay.
+        rng = np.random.default_rng(seed)
+        vals = rng.choice(np.asarray(pool, dtype=np.int64), size=rows)
+        signed = rng.integers(-3, 4, size=rows)
+        # Pre-load 3 per row of each value so every prefix of the
+        # replay stays legal (the kinds refuse a negative multiset).
+        base_vals = np.asarray(pool, dtype=np.int64)
+        base_counts = np.full(len(pool), 3 * rows + 1, dtype=np.int64)
+        prior = kernels.active_backend()
+        kernels.set_backend(backend)
+        try:
+            bulk = SIGNED_FACTORY[kind]()
+            loop = SIGNED_FACTORY[kind]()
+            for sketch in (bulk, loop):
+                sketch.update_from_frequencies(base_vals, base_counts)
+            bulk.update_from_frequencies(vals, signed)
+            for v, c in zip(vals.tolist(), signed.tolist()):
+                loop.update(v, c)
+        finally:
+            kernels.set_backend(prior)
         assert dump_sketch(bulk) == dump_sketch(loop)
 
     @pytest.mark.parametrize("kind", sorted(FK_FACTORY))

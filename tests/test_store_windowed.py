@@ -13,7 +13,9 @@ import json
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.frequency import FrequencyVector, self_join_size
+from repro.core.hashing import MERSENNE_PRIME_31
 from repro.core.tugofwar import TugOfWarSketch
 from repro.engine import MergeUnsupportedError, SketchPayloadError
 from repro.engine.registry import UnknownSketchKindError
@@ -224,6 +226,91 @@ class TestRoutingAndWindows:
             WindowedSketchStore(TW_SPEC, bucket_width=1, retention_buckets=0)
         with pytest.raises(TypeError, match="SketchSpec"):
             WindowedSketchStore("tugofwar", bucket_width=1)
+
+
+#: The kinds whose signed batches are coalesced before the scatter.
+COALESCED_SPECS = {
+    "tugofwar": TW_SPEC,
+    "fk_moments": SketchSpec("fk_moments", {"k": 3, "s1": 16, "s2": 3, "seed": 7}),
+    "f0": SketchSpec("f0", {"s1": 16, "s2": 3, "seed": 7}),
+}
+
+#: Values outside the hash domain [0, 2^31 - 1).
+OUT_OF_DOMAIN = [-1, MERSENNE_PRIME_31, 1 << 40]
+
+
+@pytest.fixture(params=kernels.available_backends())
+def backend(request):
+    prior = kernels.active_backend()
+    kernels.set_backend(request.param)
+    try:
+        yield request.param
+    finally:
+        kernels.set_backend(prior)
+
+
+class TestCoalescedIngest:
+    """Signed batches coalesce per value; contracts that must survive."""
+
+    @pytest.mark.parametrize("bad", OUT_OF_DOMAIN)
+    @pytest.mark.parametrize("rows", [4, 2048], ids=["sort", "dense"])
+    @pytest.mark.parametrize("kind", sorted(COALESCED_SPECS))
+    def test_cancelled_out_of_domain_value_refused_by_sketch(
+        self, backend, kind, rows, bad
+    ):
+        # Inserted and deleted in one batch, the bad value nets to
+        # zero; the batch must still be refused, not silently accepted.
+        values = np.arange(rows, dtype=np.int64) % 100
+        values[:2] = bad
+        counts = np.ones(rows, dtype=np.int64)
+        counts[1] = -1
+        sketch = COALESCED_SPECS[kind].build()
+        with pytest.raises(ValueError, match="outside"):
+            sketch.update_from_frequencies(values, counts)
+
+    @pytest.mark.parametrize("bad", OUT_OF_DOMAIN)
+    @pytest.mark.parametrize("kind", sorted(COALESCED_SPECS))
+    def test_cancelled_out_of_domain_value_refused_by_store(
+        self, backend, kind, bad
+    ):
+        store = WindowedSketchStore(COALESCED_SPECS[kind], bucket_width=10)
+        with pytest.raises(ValueError, match=r"bucket span \[10, 20\).*outside"):
+            store.ingest([12, 13, 15], [bad, 4, bad], counts=[1, 1, -1])
+
+    def test_scatter_sees_each_distinct_value_once_per_bucket(self, monkeypatch):
+        seen: list[np.ndarray] = []
+        real = kernels.tugofwar_scatter
+
+        def spy(coeffs, values, counts, z):
+            seen.append(np.asarray(values).copy())
+            real(coeffs, values, counts, z)
+
+        monkeypatch.setattr(kernels, "tugofwar_scatter", spy)
+        rng = np.random.default_rng(3)
+        ts = rng.integers(0, 20, size=4000)
+        values = rng.integers(0, 30, size=4000)
+        counts = np.where(np.arange(4000) % 4 == 3, -1, 2)
+        store = WindowedSketchStore(TW_SPEC, bucket_width=10)
+        store.ingest(ts, values, counts=counts)
+        assert len(seen) == 2  # one chunk per bucket
+        for bucket, scattered in enumerate(seen):
+            in_bucket = values[ts // 10 == bucket]
+            assert scattered.tolist() == np.unique(in_bucket).tolist()
+        reference = TW_SPEC.build()
+        for v, c in zip(values.tolist(), counts.tolist()):
+            reference.update(v, c)
+        assert np.array_equal(store.query(0, 20).counters, reference.counters)
+
+    def test_frequency_kind_applies_signed_rows_in_order(self):
+        # The exact kind keeps its per-entry contract: a delete of v
+        # ahead of the insert of v in the same bucket is refused even
+        # though the batch nets to zero for v.
+        store = WindowedSketchStore(SketchSpec("frequency"), bucket_width=10)
+        with pytest.raises(ValueError, match=r"bucket span \[10, 20\)"):
+            store.ingest([12, 14], [7, 7], counts=[-1, 1])
+        store = WindowedSketchStore(SketchSpec("frequency"), bucket_width=10)
+        store.ingest([14, 12], [7, 7], counts=[1, -1])
+        assert store.query(10, 20).frequency(7) == 0
 
 
 class TestAlignment:
